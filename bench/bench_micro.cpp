@@ -535,7 +535,7 @@ void BM_ScaleTopologyBuild(benchmark::State& state) {
     Rng groupRng = Rng{config.seed}.fork("groups");
     config.groups = harness::makeStripedGroups(n, 3, 1, 10, 1, groupRng);
     harness::Simulation sim{config};
-    benchmark::DoNotOptimize(sim.plan()->maxSameChannelNeighbors);
+    benchmark::DoNotOptimize(sim.plan().maxSameChannelNeighbors);
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

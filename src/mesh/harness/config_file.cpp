@@ -100,6 +100,12 @@ class Parser {
     if (config.groups.empty()) {
       return {std::nullopt, "config error: no [group N] sections"};
     }
+    // Checked after the whole file: either key may come first, and the
+    // other may be a paper default.
+    if (config.traffic.stop <= config.traffic.start) {
+      return {std::nullopt,
+              "config error: traffic stop_s must be after start_s"};
+    }
     for (const GroupSpec& g : config.groups) {
       for (const net::NodeId id : g.sources) {
         if (id >= config.nodeCount) {

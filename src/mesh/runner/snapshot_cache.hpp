@@ -58,9 +58,10 @@ class SnapshotCache {
   // snapshot's contents are a function of, seed included. Equal keys imply
   // identical worlds; differing protocol/traffic/duration/faults/rate
   // fields deliberately do not enter the key, which is the whole point of
-  // sharing. Note the MESH_CHANNELS/MESH_GATEWAYS env overrides apply
-  // inside Simulation::build(), after keying — they are process-global, so
-  // every run of a key still builds the same effective world.
+  // sharing. Note the environment overrides (MESH_CHANNELS, MESH_GATEWAYS,
+  // ...; applyEnvOverrides in scenario.cpp) apply inside Simulation's
+  // builder, after keying — they are process-global, so every run of a
+  // key still builds the same effective world.
   static std::string keyFor(const harness::ScenarioConfig& config);
 
   // ~512 MiB unless MESH_TOPOLOGY_CACHE_MB overrides it.

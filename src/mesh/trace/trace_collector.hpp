@@ -88,8 +88,8 @@ class TraceCollector {
   std::uint64_t recordCount() const { return total_; }
 
   // Collision-domain tag stamped on txStart/drop/deliver records: 1 +
-  // channel index. 0 (the default) means single-channel — record bytes are
-  // unchanged from legacy traces, which byte-identity tests rely on.
+  // channel index. 0 (the default) means a one-channel world, whose records
+  // carry no channel field — the bytes the golden trace hashes pin.
   void setChannelTag(std::uint8_t tag) { channelTag_ = tag; }
   std::uint8_t channelTag() const { return channelTag_; }
 

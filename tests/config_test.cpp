@@ -141,7 +141,11 @@ INSTANTIATE_TEST_SUITE_P(
                 "unknown group key"},
         BadCase{"[scenario]\nnodes = 5\n", "no [group N] sections"},
         BadCase{"[scenario]\nnodes = 3\n[group 1]\nsources = 0\nmembers = 9\n",
-                "member id out of range"}));
+                "member id out of range"},
+        BadCase{"[traffic]\nstart_s = 20\nstop_s = 10\n[group 1]\nsources = 0\n",
+                "stop_s must be after start_s"},
+        BadCase{"[traffic]\nstart_s = 500\n[group 1]\nsources = 0\n",
+                "stop_s must be after start_s"}));
 
 TEST(ConfigFile, ErrorsIncludeLineNumbers) {
   const auto result = parseScenarioConfig("[scenario]\nnodes = 5\nbad line\n");

@@ -218,6 +218,51 @@ TEST(Sweep, ThrowingRunIsReportedWithoutAbortingTheSweep) {
   EXPECT_EQ(report.rows[0].pdr.count(), 2u);
 }
 
+TEST(Sweep, EmptyTrafficWindowFailsOnlyItsCell) {
+  // A source whose stop is not after its start cannot run; the builder
+  // refuses that world, so its cell fails and its siblings complete.
+  const std::vector<ProtocolSpec> protocols = {
+      ProtocolSpec::with(metrics::MetricKind::Etx)};
+  const auto makeScenario = [](std::uint64_t seed) {
+    ScenarioConfig config = smallScenario(seed);
+    if (seed == 1001) config.traffic.stop = config.traffic.start - 1_s;
+    return config;
+  };
+  const std::string path = testing::TempDir() + "runner_test_bad_window.jsonl";
+  runner::SweepReport report;
+  {
+    runner::JsonlResultSink sink{path};
+    report = runner::runComparisonSweep(protocols, makeScenario,
+                                        smallOptions(2), &sink);
+  }
+
+  EXPECT_EQ(report.failures, 1u);
+  ASSERT_EQ(report.records.size(), 3u);
+  EXPECT_TRUE(report.records[0].ok);
+  EXPECT_FALSE(report.records[1].ok);
+  EXPECT_NE(report.records[1].error.find("traffic window is empty"),
+            std::string::npos)
+      << report.records[1].error;
+  EXPECT_TRUE(report.records[2].ok);
+
+  std::ifstream in{path};
+  ASSERT_TRUE(in.good());
+  std::size_t okLines = 0, failedLines = 0;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.find("\"ok\":true") != std::string::npos) ++okLines;
+    if (line.find("\"ok\":false") != std::string::npos) {
+      ++failedLines;
+      EXPECT_NE(line.find("\"error\":\"traffic window is empty"),
+                std::string::npos)
+          << line;
+    }
+  }
+  EXPECT_EQ(okLines, 2u);
+  EXPECT_EQ(failedLines, 1u);
+  std::remove(path.c_str());
+}
+
 TEST(Sweep, JsonlSinkReceivesOneRecordPerRun) {
   const std::vector<ProtocolSpec> protocols = {
       ProtocolSpec::original(), ProtocolSpec::with(metrics::MetricKind::Spp)};
