@@ -385,8 +385,6 @@ BENCHMARK(BM_ChannelTransmit);
 
 // Shared rig for the reachability-build and fan-out benches: n radios
 // placed uniformly at a given density, spatial index forced on or off.
-// (If MESH_SPATIAL_INDEX is set in the environment it overrides the knob,
-// so clear it before trusting a Grid-vs-Scan comparison.)
 struct ReachabilityRig {
   sim::Simulator simulator;
   phy::PhyParams params;

@@ -52,9 +52,8 @@ struct BenchOptions {
   // Topology-snapshot cache (DESIGN §14): build each topology seed's
   // immutable world once and share it across that seed's protocol runs.
   // Results are byte-identical either way; off restores rebuild-every-run
-  // for A/B timing and bisection. The MESH_TOPOLOGY_CACHE environment
-  // variable ("on"/"off") overrides this knob at sweep time, and
-  // MESH_TOPOLOGY_CACHE_MB bounds resident snapshot memory (default 512).
+  // for A/B timing and bisection. The MESH_TOPOLOGY_CACHE_MB environment
+  // variable bounds resident snapshot memory (default 512).
   bool topologyCache{true};
 
   // Applies MESH_BENCH_* environment overrides on top of the given

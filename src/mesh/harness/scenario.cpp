@@ -1,10 +1,8 @@
 #include "mesh/harness/scenario.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <numeric>
 #include <stdexcept>
 
@@ -214,49 +212,6 @@ std::vector<Vec2> placePositions(const ScenarioConfig& config, Rng& rng) {
   return positions;
 }
 
-// Reads environment variable `name` as a whole decimal count in [lo, hi].
-// Unset or empty: nullopt. Anything else out of shape: nullopt plus a
-// stderr note saying what was wanted. Digits only: strtoull alone would
-// wrap "-1" to 2^64-1.
-std::optional<std::size_t> envCount(const char* name, unsigned long long lo,
-                                    unsigned long long hi, const char* want) {
-  const char* env = std::getenv(name);
-  if (env == nullptr || *env == '\0') return std::nullopt;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (std::isdigit(static_cast<unsigned char>(*env)) && *end == '\0' &&
-      v >= lo && v <= hi) {
-    return static_cast<std::size_t>(v);
-  }
-  std::fprintf(stderr, "%s=%s ignored (%s)\n", name, env, want);
-  return std::nullopt;
-}
-
-// The MESH_RATE_CONTROL, MESH_CHANNELS, MESH_DOMAIN_WORKERS and
-// MESH_GATEWAYS overrides: A/B escape hatches that need no config edits,
-// applied by the builder so every bench and driver honors them. Unset or
-// empty variables change nothing.
-void applyEnvOverrides(ScenarioConfig& config) {
-  if (const char* env = std::getenv("MESH_RATE_CONTROL");
-      env != nullptr && *env != '\0' &&
-      !rate::controlKindFromString(env, config.rateControl)) {
-    std::fprintf(stderr,
-                 "MESH_RATE_CONTROL=%s ignored (fixed/minstrel/genie)\n", env);
-  }
-  constexpr unsigned long long kAny = ~0ULL;
-  if (const auto v = envCount("MESH_CHANNELS", 1, 255, "want 1..255")) {
-    config.channels = *v;
-  }
-  if (const auto v = envCount("MESH_DOMAIN_WORKERS", 1, kAny, "want >= 1")) {
-    config.domainWorkers = *v;
-  }
-  // 0 disables the relay even when the config names gateway nodes.
-  if (const auto v = envCount("MESH_GATEWAYS", 0, kAny, "want a count")) {
-    config.gateways = *v;
-    if (*v == 0) config.gatewayNodes.clear();
-  }
-}
-
 void applyRecovery(RunResults& results, const fault::RecoveryReport& report) {
   results.faultsApplied = report.faultsApplied;
   results.faultsCleared = report.faultsCleared;
@@ -315,7 +270,6 @@ fault::RecoveryReport mergeRecoveryReports(
 }  // namespace
 
 void Simulation::build() {
-  applyEnvOverrides(config_);
   // CbrSource cannot run an empty window; refusing the world here turns a
   // bad cell into a failed run instead of a process abort.
   const bool hasSource = std::any_of(
@@ -447,7 +401,6 @@ void Simulation::build() {
     // paper's single shared channel always drew.
     channels_.push_back(std::make_unique<phy::Channel>(
         sim, makeLinkModel(sim), rng.fork("channel", d)));
-    channels_[d]->setSpatialIndex(config_.spatialIndex);
     channels_[d]->setTrace(domainTraces_[d].get());
     if (rateTable_ != nullptr) channels_[d]->setRateTable(rateTable_.get());
   }

@@ -106,20 +106,13 @@ struct ScenarioConfig {
   // bench_mobility extension explores.
   double mobilityMaxSpeedMps{0.0};
 
-  // Use the channel's uniform-grid reachability path (DESIGN §8.5). Results
-  // are bit-identical either way; off restores the O(n²) pair scan for
-  // A/B timing and regression bisection. The MESH_SPATIAL_INDEX environment
-  // variable overrides this knob.
-  bool spatialIndex{true};
-
   std::vector<GroupSpec> groups;
   app::CbrConfig traffic;  // group id is overridden per GroupSpec
 
   // Rate adaptation: which controller runs on every node and which 802.11
   // rate set the shared RateTable holds. The defaults (Fixed + Basic) keep
   // the simulator on the legacy single-rate path, bit-identical to the
-  // pre-rate code. The MESH_RATE_CONTROL environment variable
-  // ("fixed"/"minstrel"/"genie") overrides `rateControl` at build time.
+  // pre-rate code.
   rate::ControlKind rateControl{rate::ControlKind::Fixed};
   rate::RateSetKind rateSet{rate::RateSetKind::Basic};
 
@@ -131,15 +124,13 @@ struct ScenarioConfig {
   // mobility, no custom link model), and multicast traffic only flows
   // inside a domain unless gateways carry it across: pick groups
   // channel-locally (makeStripedGroups), or configure `gateways` below and
-  // let spanning groups ride the handoff path. The MESH_CHANNELS
-  // environment variable overrides this knob at build time.
+  // let spanning groups ride the handoff path.
   std::size_t channels{1};
   channelplan::AssignStrategy channelAssign{channelplan::AssignStrategy::Static};
   // Worker threads driving the collision domains in parallel (clamped to
   // [1, channels]). Purely a wall-clock knob: traces, counters and every
   // aggregate are byte-identical for any worker count — the determinism
-  // tests pin this. The MESH_DOMAIN_WORKERS environment variable
-  // overrides it.
+  // tests pin this.
   std::size_t domainWorkers{1};
 
   // Cross-domain gateways (src/mesh/gateway): `gateways` nodes get one
@@ -147,8 +138,7 @@ struct ScenarioConfig {
   // domains at epoch barriers every `switchSlot`. 0 (the default) builds no
   // relay at all — the channels>1 path stays byte-identical to the
   // gateway-less simulator. `gatewaySelect` picks which nodes serve
-  // (ignored when `gatewayNodes` names them explicitly). The MESH_GATEWAYS
-  // environment variable overrides the count at build time.
+  // (ignored when `gatewayNodes` names them explicitly).
   std::size_t gateways{0};
   gateway::GatewaySelect gatewaySelect{gateway::GatewaySelect::EveryK};
   std::vector<net::NodeId> gatewayNodes;  // explicit roster (forces Explicit)

@@ -20,10 +20,10 @@
 // Trace pids are renumbered per collector at record time, so per-domain uid
 // sequences that all start at 1 are fine (see trace/trace_collector.cpp).
 //
-// Escape hatch: MESH_PACKET_POOL=off (or setPoolingEnabled(false)) routes
-// slots through plain operator new/delete while keeping the uid sequence and
-// refcount behavior identical — traces must stay byte-identical either way,
-// which hotpath_test pins as a regression test.
+// Reference path: setPoolingEnabled(false) routes slots through plain
+// operator new/delete while keeping the uid sequence and refcount behavior
+// identical — traces must stay byte-identical either way, which
+// hotpath_test pins as a regression test.
 
 #include <cstddef>
 #include <cstdint>
@@ -184,8 +184,8 @@ class PacketPool {
 
   // Global pooling knob (see file comment). Read per allocation; only write
   // it while no simulation is running — domain workers read it unfenced.
-  static bool poolingEnabled() { return enabledFlag(); }
-  static void setPoolingEnabled(bool enabled) { enabledFlag() = enabled; }
+  static bool poolingEnabled() { return enabled_; }
+  static void setPoolingEnabled(bool enabled) { enabled_ = enabled; }
 
  private:
   struct Impl;
@@ -228,7 +228,7 @@ class PacketPool {
     return current;
   }
   static PacketPool& fallbackPool();
-  static bool& enabledFlag();
+  static inline bool enabled_{true};
 
   Impl* impl_;
 };

@@ -31,7 +31,7 @@
 // mean-power predicate in ascending radio-index order — so the rows (and
 // every downstream RNG draw) stay bit-identical to the full scan while
 // build cost drops to O(n·k). Single-radio invalidations (fail/recover)
-// rebuild only the affected rows. MESH_SPATIAL_INDEX=off restores the
+// rebuild only the affected rows. setSpatialIndex(false) restores the
 // full-scan path.
 //
 // Because a build draws no RNG and (for static geometry) is a pure
@@ -45,7 +45,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -193,13 +192,13 @@ class Channel {
   bool sharesSnapshot() const { return shared_ != nullptr; }
 
   // Enable/disable the spatial-index fast path for reachability builds and
-  // incremental invalidation. Takes effect at the next (re)build. The
-  // MESH_SPATIAL_INDEX environment variable ("on"/"off", "1"/"0") wins
-  // over this knob — an escape hatch for bisecting perf regressions.
+  // incremental invalidation. Takes effect at the next (re)build. Results
+  // are bit-identical either way; off keeps the O(n²) scan reachable as
+  // the reference path for tests and benches.
   void setSpatialIndex(bool enabled) { spatialKnob_ = enabled; }
 
   // True when the last reachability build actually used the grid (model
-  // indexable, knob/env on, finite reach radius). Meaningful after the
+  // indexable, knob on, finite reach radius). Meaningful after the
   // first build only.
   bool spatialIndexActive() const { return spatialActive_; }
 
@@ -253,9 +252,8 @@ class Channel {
   // construction from linkModel_->meanScaledFading(): Rayleigh and unity
   // gains are drawn inline (identical draws, no virtual dispatch per
   // receiver); anything else falls back to the generic sampling hook.
-  enum class FadingPath : std::uint8_t { Generic, Virtual, Unity, Rayleigh };
+  enum class FadingPath : std::uint8_t { Generic, Unity, Rayleigh };
   FadingPath fadingPath_{FadingPath::Generic};
-  const FadingModel* scaledFading_{nullptr};
 
   std::vector<Radio*> radios_;                 // indexed by attach order
   std::unordered_map<net::NodeId, std::uint32_t> nodeIndex_;  // id -> index
@@ -273,7 +271,6 @@ class Channel {
 
   // --- spatial index state (see DESIGN §8.5) ------------------------------
   bool spatialKnob_{true};
-  std::optional<bool> spatialEnvOverride_;  // MESH_SPATIAL_INDEX, parsed once
   bool spatialActive_{false};               // last build used the grid
   double reachRadiusM_{0.0};                // conservative pruning radius
   SpatialGrid grid_;

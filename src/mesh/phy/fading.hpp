@@ -42,26 +42,4 @@ class RayleighFading final : public FadingModel {
   }
 };
 
-// Ricean fading with K-factor (ratio of line-of-sight to scattered power);
-// K = 0 degenerates to Rayleigh. Gain is |h|² of h = LOS + CN(0, σ²),
-// normalized to unit mean.
-class RiceanFading final : public FadingModel {
- public:
-  explicit RiceanFading(double kFactor) : k_{kFactor} { MESH_REQUIRE(kFactor >= 0.0); }
-
-  double powerGain(Rng& rng) const override {
-    // h = sqrt(K/(K+1)) + CN(0, 1/(K+1)); E[|h|²] = 1.
-    const double sigma = std::sqrt(1.0 / (2.0 * (k_ + 1.0)));
-    const double losAmp = std::sqrt(k_ / (k_ + 1.0));
-    const double re = losAmp + rng.normal(0.0, sigma);
-    const double im = rng.normal(0.0, sigma);
-    return re * re + im * im;
-  }
-
-  double kFactor() const { return k_; }
-
- private:
-  double k_;
-};
-
 }  // namespace mesh::phy

@@ -8,19 +8,15 @@ namespace {
 constexpr double kPi = 3.14159265358979323846;
 // Co-located radios would yield infinite Friis power; clamp distance.
 constexpr double kMinDistanceM = 0.1;
-}  // namespace
 
-double FriisModel::atDistance(const PhyParams& p, double d) {
-  d = std::max(d, kMinDistanceM);
+// Friis free-space power at distance d (already clamped by the caller).
+double friisAtDistance(const PhyParams& p, double d) {
   const double lambda = p.wavelengthM();
   const double denom = 4.0 * kPi * d;
   return p.txPowerW * p.antennaGainTx * p.antennaGainRx * lambda * lambda /
          (denom * denom * p.systemLoss);
 }
-
-double FriisModel::rxPowerW(const PhyParams& p, Vec2 tx, Vec2 rx) const {
-  return atDistance(p, tx.distanceTo(rx));
-}
+}  // namespace
 
 double TwoRayGroundModel::crossoverDistanceM(const PhyParams& p) {
   return 4.0 * kPi * p.antennaHeightM * p.antennaHeightM / p.wavelengthM();
@@ -28,7 +24,7 @@ double TwoRayGroundModel::crossoverDistanceM(const PhyParams& p) {
 
 double TwoRayGroundModel::atDistance(const PhyParams& p, double d) {
   d = std::max(d, kMinDistanceM);
-  if (d < crossoverDistanceM(p)) return FriisModel::atDistance(p, d);
+  if (d < crossoverDistanceM(p)) return friisAtDistance(p, d);
   const double ht = p.antennaHeightM;
   const double hr = p.antennaHeightM;
   return p.txPowerW * p.antennaGainTx * p.antennaGainRx * ht * ht * hr * hr /
@@ -72,13 +68,6 @@ double maxRangeForMeanPowerM(const PropagationModel& model,
     }
   }
   return hi;
-}
-
-double LogDistanceModel::rxPowerW(const PhyParams& p, Vec2 tx, Vec2 rx) const {
-  const double d = std::max(tx.distanceTo(rx), kMinDistanceM);
-  const double pr0 = FriisModel::atDistance(p, referenceDistanceM_);
-  if (d <= referenceDistanceM_) return pr0;
-  return pr0 / std::pow(d / referenceDistanceM_, exponent_);
 }
 
 }  // namespace mesh::phy

@@ -2,9 +2,8 @@
 // Deterministic (large-scale) radio propagation models.
 //
 // These compute *mean* received power as a function of geometry; small-
-// scale fading (Rayleigh/Ricean) multiplies on top per packet. The TwoRay
-// ground model is the paper's setting; Friis and log-distance are provided
-// for completeness and ablations.
+// scale fading (Rayleigh) multiplies on top per packet. The TwoRay ground
+// model is the paper's setting.
 
 #include <memory>
 
@@ -21,17 +20,9 @@ class PropagationModel {
   virtual double rxPowerW(const PhyParams& params, Vec2 tx, Vec2 rx) const = 0;
 };
 
-// Friis free-space: Pr = Pt Gt Gr λ² / ((4π d)² L).
-class FriisModel final : public PropagationModel {
- public:
-  double rxPowerW(const PhyParams& params, Vec2 tx, Vec2 rx) const override;
-
-  static double atDistance(const PhyParams& params, double distanceM);
-};
-
-// TwoRay ground reflection with Friis below the crossover distance
-// dc = 4π ht hr / λ, as in ns-2/Glomosim:
-//   d <  dc : Friis
+// TwoRay ground reflection with Friis free-space below the crossover
+// distance dc = 4π ht hr / λ, as in ns-2/Glomosim:
+//   d <  dc : Pr = Pt Gt Gr λ² / ((4π d)² L)
 //   d >= dc : Pr = Pt Gt Gr ht² hr² / (d⁴ L)
 class TwoRayGroundModel final : public PropagationModel {
  public:
@@ -52,21 +43,5 @@ class TwoRayGroundModel final : public PropagationModel {
 double maxRangeForMeanPowerM(const PropagationModel& model,
                              const PhyParams& params, double minPowerW,
                              double maxM = 1e7);
-
-// Log-distance path loss: Friis at reference distance d0, then d^-n.
-class LogDistanceModel final : public PropagationModel {
- public:
-  explicit LogDistanceModel(double exponent = 3.0, double referenceDistanceM = 1.0)
-      : exponent_{exponent}, referenceDistanceM_{referenceDistanceM} {
-    MESH_REQUIRE(exponent > 0.0);
-    MESH_REQUIRE(referenceDistanceM > 0.0);
-  }
-
-  double rxPowerW(const PhyParams& params, Vec2 tx, Vec2 rx) const override;
-
- private:
-  double exponent_;
-  double referenceDistanceM_;
-};
 
 }  // namespace mesh::phy

@@ -2,7 +2,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 
 #include "mesh/common/assert.hpp"
 
@@ -39,7 +38,6 @@ std::string SnapshotCache::keyFor(const harness::ScenarioConfig& config) {
   appendUint(key, "fading", config.rayleighFading ? 1 : 0);
   appendUint(key, "conn", config.ensureConnected ? 1 : 0);
   appendUint(key, "place", static_cast<std::uint64_t>(config.placement));
-  appendUint(key, "sgrid", config.spatialIndex ? 1 : 0);
   appendUint(key, "ch", config.channels);
   appendUint(key, "assign", static_cast<std::uint64_t>(config.channelAssign));
   appendUint(key, "gw", config.gateways);
@@ -74,20 +72,6 @@ std::size_t SnapshotCache::defaultBudgetBytes() {
     }
   }
   return mb * std::size_t{1024} * std::size_t{1024};
-}
-
-std::optional<bool> SnapshotCache::enabledFromEnvironment() {
-  const char* env = std::getenv("MESH_TOPOLOGY_CACHE");
-  if (env == nullptr) return std::nullopt;
-  if (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-      std::strcmp(env, "false") == 0) {
-    return false;
-  }
-  if (std::strcmp(env, "on") == 0 || std::strcmp(env, "1") == 0 ||
-      std::strcmp(env, "true") == 0) {
-    return true;
-  }
-  return std::nullopt;
 }
 
 SnapshotCache::SnapshotCache(std::size_t budgetBytes)

@@ -16,8 +16,8 @@
 // Results are byte-identical with the cache on or off: reachability
 // builds draw no RNG, Rng::fork is const (skipping placement draws
 // perturbs no other stream), and the Channel's copy-on-write row views
-// keep one run's faults invisible to siblings. MESH_TOPOLOGY_CACHE=off is
-// the escape hatch (same pattern as MESH_SPATIAL_INDEX/MESH_PACKET_POOL);
+// keep one run's faults invisible to siblings. BenchOptions::topologyCache
+// = false runs the rebuild-every-run reference path;
 // MESH_TOPOLOGY_CACHE_MB bounds resident snapshot bytes — least recently
 // used Ready entries are evicted once the budget is exceeded (adopters
 // holding the shared_ptr keep evicted worlds alive until they finish).
@@ -27,7 +27,6 @@
 #include <condition_variable>
 #include <list>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -58,18 +57,11 @@ class SnapshotCache {
   // snapshot's contents are a function of, seed included. Equal keys imply
   // identical worlds; differing protocol/traffic/duration/faults/rate
   // fields deliberately do not enter the key, which is the whole point of
-  // sharing. Note the environment overrides (MESH_CHANNELS, MESH_GATEWAYS,
-  // ...; applyEnvOverrides in scenario.cpp) apply inside Simulation's
-  // builder, after keying — they are process-global, so every run of a
-  // key still builds the same effective world.
+  // sharing.
   static std::string keyFor(const harness::ScenarioConfig& config);
 
   // ~512 MiB unless MESH_TOPOLOGY_CACHE_MB overrides it.
   static std::size_t defaultBudgetBytes();
-  // MESH_TOPOLOGY_CACHE: "off"/"0"/"false" disables, "on"/"1"/"true"
-  // enables; nullopt when unset/unrecognized (caller falls back to the
-  // BenchOptions knob).
-  static std::optional<bool> enabledFromEnvironment();
 
   // Returns the snapshot for `key`, blocking while another worker builds
   // it. When the key is absent the caller becomes the builder:

@@ -184,13 +184,10 @@ SweepReport runComparisonSweep(
   const std::size_t jobs =
       options.jobs == 0 ? ThreadPool::defaultWorkerCount() : options.jobs;
 
-  // Topology-snapshot cache: on by default, MESH_TOPOLOGY_CACHE overrides
-  // the BenchOptions knob either way. Scoped to this sweep — worlds are
-  // shared across the sweep's runs, never across sweeps.
-  const bool cacheEnabled = SnapshotCache::enabledFromEnvironment().value_or(
-      options.topologyCache);
+  // Topology-snapshot cache, scoped to this sweep: worlds are shared
+  // across the sweep's runs, never across sweeps.
   std::unique_ptr<SnapshotCache> cache;
-  if (cacheEnabled) cache = std::make_unique<SnapshotCache>();
+  if (options.topologyCache) cache = std::make_unique<SnapshotCache>();
 
   Aggregator aggregator{protocols, options.topologies};
   ProgressPrinter progress{options.verbose, plans.size()};

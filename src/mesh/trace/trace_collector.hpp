@@ -107,7 +107,7 @@ class TraceCollector {
   // renumbered densely in merged first-appearance order so the output is a
   // function of the run alone, not of per-domain pid allocation. With one
   // part this is exactly exportJsonl. On success every part's records are
-  // drained, as with exportJsonl.
+  // drained; on failure they are kept.
   static bool exportMergedJsonl(
       const std::string& path, const std::string& metaJson,
       const std::vector<std::pair<std::string, std::uint64_t>>& counters,

@@ -366,7 +366,7 @@ TEST(HotPath, FiftyNodeOdmrpRunIsByteIdenticalAcrossRuns) {
 }
 
 TEST(HotPath, TraceBytesIdenticalWithPoolingDisabled) {
-  // The MESH_PACKET_POOL escape hatch must be invisible: routing slots
+  // The unpooled reference path must be invisible: routing slots
   // through plain operator new/delete cannot change uids, RNG draws, or a
   // single trace byte. A shorter run than the determinism test keeps the
   // pinned surface cheap.

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 
 #include "mesh/harness/scenario.hpp"
@@ -233,6 +234,35 @@ TEST(MobilityEndToEnd, MobilityErodesMetricFreshness) {
   EXPECT_GT(fast, 0.1);  // still functional, just worse
   // (A strict static > fast assertion would be flaky per-seed; the
   // bench_mobility extension measures the trend over many seeds.)
+}
+
+TEST(MobilityEndToEnd, EnvironmentDoesNotReshapeTheWorld) {
+  // The config alone describes the world: variables that once rewrote it
+  // inside the builder (and aborted a mobility world asked for 3 channels)
+  // must change nothing.
+  harness::ScenarioConfig config = harness::paperSimulationScenario();
+  config.mobilityMaxSpeedMps = 10.0;
+  config.seed = 17;
+  config.duration = 6_s;
+  config.traffic.start = 2_s;
+  config.traffic.stop = 6_s;
+  Rng groupRng = Rng{config.seed}.fork("groups");
+  config.groups =
+      harness::makeRandomGroups(config.nodeCount, 2, 10, 1, groupRng);
+  ::setenv("MESH_CHANNELS", "3", 1);
+  ::setenv("MESH_GATEWAYS", "6", 1);
+  ::setenv("MESH_RATE_CONTROL", "genie", 1);
+  harness::Simulation sim{std::move(config)};
+  const harness::RunResults results = sim.run();
+  ::unsetenv("MESH_CHANNELS");
+  ::unsetenv("MESH_GATEWAYS");
+  ::unsetenv("MESH_RATE_CONTROL");
+
+  EXPECT_EQ(sim.config().channels, 1u);
+  EXPECT_EQ(sim.node(0).rateController(), nullptr);
+  EXPECT_EQ(sim.gatewayRelay(), nullptr);
+  EXPECT_EQ(results.gatewayCount, 0u);
+  EXPECT_GT(results.packetsSent, 0u);
 }
 
 }  // namespace

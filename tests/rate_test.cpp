@@ -12,7 +12,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -225,15 +224,15 @@ ScenarioConfig tinyScenario() {
   return config;
 }
 
-TEST(RateConfig, EnvVarOverridesTheControlKind) {
-  ASSERT_EQ(setenv("MESH_RATE_CONTROL", "minstrel", 1), 0);
-  harness::Simulation sim{tinyScenario()};
-  unsetenv("MESH_RATE_CONTROL");
+TEST(RateConfig, ConfigChoosesTheControlKind) {
+  ScenarioConfig config = tinyScenario();
+  config.rateControl = ControlKind::Minstrel;
+  harness::Simulation sim{config};
   ASSERT_NE(sim.node(0).rateController(), nullptr);
   EXPECT_EQ(sim.node(0).rateController()->kind(), ControlKind::Minstrel);
 
-  // Without the env var the default config stays on the legacy path: no
-  // controller is even built.
+  // The default config stays on the legacy path: no controller is even
+  // built.
   harness::Simulation legacy{tinyScenario()};
   EXPECT_EQ(legacy.node(0).rateController(), nullptr);
 }

@@ -19,7 +19,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -154,17 +153,6 @@ TEST(SnapshotCache, EvictsLeastRecentlyUsedOverBudget) {
   EXPECT_EQ(cache.acquire("a", shouldBuild), nullptr);  // evicted: rebuild
   EXPECT_TRUE(shouldBuild);
   cache.abandon("a");
-}
-
-TEST(SnapshotCache, EnvironmentOverrideParses) {
-  ::setenv("MESH_TOPOLOGY_CACHE", "off", 1);
-  EXPECT_EQ(runner::SnapshotCache::enabledFromEnvironment(), false);
-  ::setenv("MESH_TOPOLOGY_CACHE", "on", 1);
-  EXPECT_EQ(runner::SnapshotCache::enabledFromEnvironment(), true);
-  ::setenv("MESH_TOPOLOGY_CACHE", "bogus", 1);
-  EXPECT_EQ(runner::SnapshotCache::enabledFromEnvironment(), std::nullopt);
-  ::unsetenv("MESH_TOPOLOGY_CACHE");
-  EXPECT_EQ(runner::SnapshotCache::enabledFromEnvironment(), std::nullopt);
 }
 
 // ---------------------------------------------------------------------------
@@ -389,7 +377,6 @@ void removeSweepOutputs(const runner::SweepReport& report,
 }
 
 TEST(SnapshotSweep, CacheOnMatchesCacheOffAcrossJobCounts) {
-  ::unsetenv("MESH_TOPOLOGY_CACHE");  // the knob under test
   const std::vector<harness::ProtocolSpec> protocols = {
       harness::ProtocolSpec::original(),
       harness::ProtocolSpec::with(metrics::MetricKind::Spp)};
@@ -452,7 +439,6 @@ TEST(SnapshotSweep, CacheOnMatchesCacheOffAcrossJobCounts) {
 }
 
 TEST(SnapshotSweep, IneligibleScenariosReportOff) {
-  ::unsetenv("MESH_TOPOLOGY_CACHE");
   const auto mobileScenario = [](std::uint64_t seed) {
     harness::ScenarioConfig config = smallScenario(seed);
     config.duration = 6_s;

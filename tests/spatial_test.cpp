@@ -373,7 +373,7 @@ TEST(SpatialChannel, FiftyNodeOdmrpTraceIsByteIdenticalWithIndexOnAndOff) {
   // The tentpole acceptance: the paper-scale scenario produces the exact
   // same packet-lifecycle trace bytes with the spatial index on and off.
   const std::string dir = ::testing::TempDir();
-  const auto makeConfig = [&](bool spatial, const std::string& tracePath) {
+  const auto makeConfig = [&](const std::string& tracePath) {
     harness::ScenarioConfig config = harness::paperSimulationScenario();
     config.seed = 12345;
     config.duration = 25_s;
@@ -383,16 +383,18 @@ TEST(SpatialChannel, FiftyNodeOdmrpTraceIsByteIdenticalWithIndexOnAndOff) {
     config.groups =
         harness::makeRandomGroups(config.nodeCount, 2, 10, 1, groupRng);
     config.protocol = harness::ProtocolSpec::with(metrics::MetricKind::Spp);
-    config.spatialIndex = spatial;
     config.tracePath = tracePath;
     return config;
   };
 
   const std::string traceOn = dir + "/spatial_on.trace.jsonl";
   const std::string traceOff = dir + "/spatial_off.trace.jsonl";
-  harness::Simulation simOn{makeConfig(true, traceOn)};
+  harness::Simulation simOn{makeConfig(traceOn)};
   const harness::RunResults on = simOn.run();
-  harness::Simulation simOff{makeConfig(false, traceOff)};
+  // The reference side: same world, rows rebuilt by the O(n²) scan.
+  harness::Simulation simOff{makeConfig(traceOff)};
+  simOff.channel().setSpatialIndex(false);
+  simOff.channel().rebuildReachabilityNow();
   const harness::RunResults off = simOff.run();
 
   EXPECT_TRUE(simOn.channel().spatialIndexActive());
