@@ -213,16 +213,25 @@ struct GoldenRun {
   std::uint64_t faultsApplied{0};
 };
 
-GoldenRun runGolden(harness::ScenarioConfig config, const std::string& name) {
+// `mustTrace` names a trace fragment the world must produce, so a golden
+// that claims to cover a path (PER draws, loss-ramp drops, gateway
+// handoffs) fails loudly if the path went quiet.
+GoldenRun runGolden(harness::ScenarioConfig config, const std::string& name,
+                    const std::string& mustTrace = "") {
   config.tracePath = ::testing::TempDir() + "golden_" + name + ".trace.jsonl";
+  const std::size_t channels = config.channels;
   harness::Simulation sim{config};
-  EXPECT_EQ(sim.channelCount(), 1u);
+  EXPECT_EQ(sim.channelCount(), channels);
   const harness::RunResults results = sim.run();
-  EXPECT_TRUE(results.channelFrames.empty());  // only channels > 1 reports
+  // Only channels > 1 reports per-channel frame counters.
+  EXPECT_EQ(results.channelFrames.size(), channels > 1 ? channels : 0u);
   const std::string bytes = slurp(config.tracePath);
   std::remove(config.tracePath.c_str());
   EXPECT_FALSE(bytes.empty()) << name;
   EXPECT_GT(results.packetsDelivered, 0u) << name;
+  if (!mustTrace.empty()) {
+    EXPECT_NE(bytes.find(mustTrace), std::string::npos) << name;
+  }
   return {fnv1a(bytes), results.eventsExecuted, results.packetsDelivered,
           results.faultsApplied};
 }
@@ -310,6 +319,80 @@ TEST(MultiChannelGolden, PositionlessFactoryWorld) {
   config.protocol = harness::ProtocolSpec::with(metrics::MetricKind::Spp);
   expectGolden(runGolden(config, "positionless"), {5474156452825827998ULL, 3948, 259, 0},
                "positionless");
+}
+
+// Golden pins for the PHY fan-out paths, recorded from the simulator that
+// scheduled a begin and an end event per receiver (before transmissions
+// became pooled flights): concurrent senders' receptions interleaving,
+// per-rate PER draws inside the fan-out, fault-suppressed deliveries with
+// and without a loss draw, and epoch horizons cutting flights in two.
+
+TEST(MultiChannelGolden, CollisionHeavyWorld) {
+  // 300 nodes at 3x the paper's density: every frame reaches ~150 radios
+  // and several senders' receptions overlap at most of them.
+  harness::ScenarioConfig config = harness::scaledSimulationScenario(300);
+  config.areaWidthM /= std::sqrt(3.0);
+  config.areaHeightM /= std::sqrt(3.0);
+  config.seed = 31;
+  config.duration = 3_s;
+  config.traffic.payloadBytes = 512;
+  config.traffic.packetsPerSecond = 20.0;
+  config.traffic.start = 1_s;
+  config.traffic.stop = 3_s;
+  config.protocol = harness::ProtocolSpec::original();
+  Rng groupRng = Rng{config.seed}.fork("groups");
+  config.groups =
+      harness::makeRandomGroups(config.nodeCount, 3, 10, 1, groupRng);
+  expectGolden(runGolden(config, "dense", R"("reason":"phy_collision")"),
+               {11315334724421642072ULL, 1164268, 141, 0}, "dense");
+}
+
+TEST(MultiChannelGolden, MinstrelWorld) {
+  harness::ScenarioConfig config = smallScenario(4243);
+  config.rateControl = rate::ControlKind::Minstrel;
+  config.rateSet = rate::RateSetKind::DsssOfdm;
+  expectGolden(runGolden(config, "minstrel", R"(,"rate":)"),
+               {14776482432721074876ULL, 365955, 1056, 0}, "minstrel");
+}
+
+TEST(MultiChannelGolden, BlackoutAndLossRampWorld) {
+  // Node 0 goes dark to every peer (suppressed without a draw) while node
+  // 1's links ramp to 50% loss (one Bernoulli draw per delivery).
+  harness::ScenarioConfig config = smallScenario(4244);
+  for (net::NodeId peer = 1; peer < config.nodeCount; ++peer) {
+    fault::FaultEvent blackout;
+    blackout.kind = trace::FaultKind::LinkBlackout;
+    blackout.node = 0;
+    blackout.peer = peer;
+    blackout.start = 4_s;
+    blackout.duration = 4_s;
+    config.faults.add(blackout);
+    if (peer == 1) continue;
+    fault::FaultEvent ramp;
+    ramp.kind = trace::FaultKind::LossRamp;
+    ramp.node = 1;
+    ramp.peer = peer;
+    ramp.start = 3_s;
+    ramp.duration = 6_s;
+    ramp.lossRate = 0.5;
+    config.faults.add(ramp);
+  }
+  expectGolden(runGolden(config, "lossramp", R"("reason":"fault_link_down")"),
+               {1606477152075474890ULL, 295736, 838, 97}, "lossramp");
+}
+
+harness::ScenarioConfig gatewayScenario(std::uint64_t seed);
+
+TEST(MultiChannelGolden, GatewayWorldAtOneAndThreeWorkers) {
+  // The 50 ms gateway switch slot is an epoch horizon: run(until) stops
+  // every domain mid-flight, and the next epoch resumes its receptions.
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{3}}) {
+    harness::ScenarioConfig config = gatewayScenario(9700);
+    config.domainWorkers = workers;
+    const std::string name = "gateway_w" + std::to_string(workers);
+    expectGolden(runGolden(config, name, R"("ev":"gateway_handoff")"),
+                 {3249556098705011830ULL, 1864697, 163, 0}, name);
+  }
 }
 
 // 500 nodes, 3 channels, channel-local groups — the multi-channel scale
