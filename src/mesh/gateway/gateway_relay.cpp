@@ -67,7 +67,7 @@ void GatewayRelay::captureOutbound(std::size_t gatewayIndex,
 void GatewayRelay::captureInbound(std::size_t gatewayIndex, std::size_t domain,
                                   const net::PacketPtr& packet,
                                   net::NodeId from) {
-  Gateway& gw = gateways_[gatewayIndex];
+  MESH_ASSERT(gatewayIndex < gateways_.size());
   if (packet == nullptr) return;
   Staged staged;
   staged.at = domains_[domain].sim->now();

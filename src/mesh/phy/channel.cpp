@@ -16,6 +16,10 @@ constexpr double kSpeedOfLight = 299'792'458.0;  // m/s
 // ≈ 28 cells whose union hugs the disk, instead of a 3×3 box with ~2.9× the
 // disk's area. Finer cells prune better but cost more bucket iteration.
 constexpr double kCellsPerReachRadius = 2.0;
+
+// A flight's sort key packs (propagation delay ns << 24 | row ordinal).
+constexpr std::uint32_t kOrdinalBits = 24;
+constexpr std::uint64_t kOrdinalMask = (std::uint64_t{1} << kOrdinalBits) - 1;
 }  // namespace
 
 Channel::Channel(sim::Simulator& simulator, std::unique_ptr<LinkModel> linkModel,
@@ -355,12 +359,13 @@ void Channel::transmit(Radio& sender, const PhyFramePtr& frame,
   const bool checkLoss = !linkLoss_.empty();
   const bool ratePath = rateTable_ != nullptr && frame->tx.rateAware();
 
+  staged_.clear();
+  stageKeys_.clear();
   if (cacheMeans_) {
     // Hot path: flat slab of precomputed (receiver, mean, delay); with a
     // mean-scaled fading model even the per-frame sampling draw is inlined
     // (fadingPath_, classified at construction — same draws, same bits).
     const FadingPath fp = fadingPath_;
-    std::uint64_t scheduled = 0;
     for (const CachedLink& link : *rowView_[txIndex]) {
       Radio& receiver = *radios_[link.rxIndex];
       if (checkLoss && lossSuppressed(txNode, receiver.nodeId(), frame)) {
@@ -378,37 +383,139 @@ void Channel::transmit(Radio& sender, const PhyFramePtr& frame,
       // Signals with no carrier-sense significance are not worth an event.
       if (powerW < receiver.params().csThresholdW * 1e-3) continue;
       const bool corrupted = ratePath && perCorrupted(receiver, frame, powerW);
-      ++scheduled;
-      simulator_.schedule(
-          link.propagation,
-          [&receiver, frame, txNode, powerW, airtime, corrupted] {
-            receiver.beginArrival(frame, txNode, powerW, airtime, corrupted);
-          });
+      stageReception(link.rxIndex, powerW, link.propagation, corrupted);
     }
-    stats_.deliveriesScheduled += scheduled;
-    return;
-  }
-
-  // Mobility: positions change between rebuilds, so power and delay are
-  // queried live (the cache still bounds the fan-out via its headroom).
-  for (const CachedLink& link : *rowView_[txIndex]) {
-    Radio& receiver = *radios_[link.rxIndex];
-    if (checkLoss && lossSuppressed(txNode, receiver.nodeId(), frame)) {
-      continue;
+  } else {
+    // Mobility: positions change between rebuilds, so power and delay are
+    // queried live (the cache still bounds the fan-out via its headroom).
+    for (const CachedLink& link : *rowView_[txIndex]) {
+      Radio& receiver = *radios_[link.rxIndex];
+      if (checkLoss && lossSuppressed(txNode, receiver.nodeId(), frame)) {
+        continue;
+      }
+      const double powerW =
+          linkModel_->sampleRxPowerW(txNode, receiver.nodeId(), rng_);
+      if (powerW < receiver.params().csThresholdW * 1e-3) continue;
+      const double distance = linkModel_->distanceM(txNode, receiver.nodeId());
+      const bool corrupted = ratePath && perCorrupted(receiver, frame, powerW);
+      stageReception(link.rxIndex, powerW,
+                     SimTime::seconds(distance / kSpeedOfLight), corrupted);
     }
-    const double powerW =
-        linkModel_->sampleRxPowerW(txNode, receiver.nodeId(), rng_);
-    if (powerW < receiver.params().csThresholdW * 1e-3) continue;
-
-    const double distance = linkModel_->distanceM(txNode, receiver.nodeId());
-    const SimTime propagation = SimTime::seconds(distance / kSpeedOfLight);
-    const bool corrupted = ratePath && perCorrupted(receiver, frame, powerW);
-    ++stats_.deliveriesScheduled;
-    simulator_.schedule(
-        propagation, [&receiver, frame, txNode, powerW, airtime, corrupted] {
-          receiver.beginArrival(frame, txNode, powerW, airtime, corrupted);
-        });
   }
+  stats_.deliveriesScheduled += staged_.size();
+  if (!staged_.empty()) launchFlight(frame, txNode, airtime);
+}
+
+void Channel::stageReception(std::uint32_t rxIndex, double powerW,
+                             SimTime propagation, bool perCorrupted) {
+  const auto ordinal = static_cast<std::uint32_t>(staged_.size());
+  MESH_ASSERT(ordinal <= kOrdinalMask);
+  MESH_ASSERT(!propagation.isNegative() &&
+              propagation.ns() <= std::numeric_limits<std::uint32_t>::max());
+  const auto delayNs = static_cast<std::uint32_t>(propagation.ns());
+  staged_.push_back(
+      Reception{powerW, 0, 0, delayNs, rxIndex, ordinal, perCorrupted});
+  stageKeys_.push_back((std::uint64_t{delayNs} << kOrdinalBits) | ordinal);
+}
+
+void Channel::launchFlight(const PhyFramePtr& frame, net::NodeId transmitter,
+                           SimTime airtime) {
+  // Per-receiver begins would have taken consecutive seqs in row order, so
+  // their pop order is (delay, ordinal): one sort of packed keys.
+  std::sort(stageKeys_.begin(), stageKeys_.end());
+  Flight* flight;
+  if (idleFlights_.empty()) {
+    flights_.push_back(std::make_unique<Flight>());
+    flight = flights_.back().get();
+  } else {
+    flight = idleFlights_.back();
+    idleFlights_.pop_back();
+  }
+  flight->receptions.clear();
+  for (const std::uint64_t key : stageKeys_) {
+    flight->receptions.push_back(staged_[key & kOrdinalMask]);
+  }
+  flight->frame = frame;
+  flight->transmitter = transmitter;
+  flight->start = simulator_.now();
+  flight->airtime = airtime;
+  flight->firstSeq = simulator_.reserveOrder(staged_.size());
+  flight->nextBegin = 0;
+  flight->nextEnd = 0;
+  flight->endQueued = false;
+  queueBegin(*flight);
+}
+
+void Channel::queueBegin(Flight& flight) {
+  const Reception& r = flight.receptions[flight.nextBegin];
+  simulator_.scheduleReservedAt(beginTime(flight, r),
+                                flight.firstSeq + r.ordinal,
+                                [this, &flight] { runBegins(flight); });
+}
+
+void Channel::queueEnd(Flight& flight) {
+  const Reception& r = flight.receptions[flight.nextEnd];
+  simulator_.scheduleReservedAt(beginTime(flight, r) + flight.airtime,
+                                r.endSeq,
+                                [this, &flight] { runEnds(flight); });
+}
+
+void Channel::runBegins(Flight& flight) {
+  for (;;) {
+    const std::uint32_t i = flight.nextBegin++;
+    Reception& r = flight.receptions[i];
+    const Radio::EndTicket ticket = radios_[r.rxIndex]->beginArrival(
+        flight.frame, flight.transmitter, r.powerW, r.perCorrupted);
+    if (ticket.key != 0) {
+      r.endKey = ticket.key;
+      r.endSeq = ticket.seq;
+      if (!flight.endQueued) {
+        // Every earlier end has run: this one heads the end chain.
+        flight.nextEnd = i;
+        flight.endQueued = true;
+        queueEnd(flight);
+      }
+    }
+    if (flight.nextBegin == flight.receptions.size()) {
+      if (!flight.endQueued) retire(flight);
+      return;
+    }
+    const Reception& next = flight.receptions[flight.nextBegin];
+    if (!simulator_.runInline(beginTime(flight, next),
+                              flight.firstSeq + next.ordinal)) {
+      queueBegin(flight);
+      return;
+    }
+  }
+}
+
+void Channel::runEnds(Flight& flight) {
+  for (;;) {
+    const Reception& r = flight.receptions[flight.nextEnd];
+    radios_[r.rxIndex]->endArrival(r.endKey);
+    // The next end belongs to the next begun reception that took an
+    // arrival; receptions at failed radios have none.
+    std::uint32_t j = flight.nextEnd + 1;
+    while (j < flight.nextBegin && flight.receptions[j].endKey == 0) ++j;
+    flight.nextEnd = j;
+    if (j == flight.nextBegin) {
+      // Caught up with the begins: the next ticket re-queues the chain.
+      flight.endQueued = false;
+      if (flight.nextBegin == flight.receptions.size()) retire(flight);
+      return;
+    }
+    const Reception& next = flight.receptions[j];
+    if (!simulator_.runInline(beginTime(flight, next) + flight.airtime,
+                              next.endSeq)) {
+      queueEnd(flight);
+      return;
+    }
+  }
+}
+
+void Channel::retire(Flight& flight) {
+  flight.frame = nullptr;  // the last reception is over: release the frame
+  idleFlights_.push_back(&flight);
 }
 
 bool Channel::perCorrupted(const Radio& receiver, const PhyFramePtr& frame,

@@ -34,6 +34,14 @@
 // rebuild only the affected rows. setSpatialIndex(false) restores the
 // full-scan path.
 //
+// Each transmission's receptions travel as one pooled *flight* (DESIGN
+// §8.2) rather than as a begin and an end event per receiver: the flight
+// holds its receptions in pop order and keeps at most one event-heap entry
+// for its next begin and one for its next end, each at the exact (time,
+// seq) its individual event would have had, and runs a following entry
+// inline when the simulator would run it next anyway. Pop order, RNG
+// draws and counters are bit-identical to per-receiver scheduling.
+//
 // Because a build draws no RNG and (for static geometry) is a pure
 // function of positions and radio parameters, the built state can be
 // frozen into an immutable ReachSnapshot and shared across simulations of
@@ -242,6 +250,56 @@ class Channel {
   bool perCorrupted(const Radio& receiver, const PhyFramePtr& frame,
                     double powerW);
 
+  // --- flights (DESIGN §8.2) ----------------------------------------------
+
+  // One reception of a flight. Its begin pops at (flight start + delay,
+  // firstSeq + ordinal) — the seq its per-receiver push would have taken in
+  // row order — and its end at (begin + airtime, endSeq), where endSeq is
+  // the Radio's EndTicket seq.
+  struct Reception {
+    double powerW;
+    std::uint64_t endKey;  // Radio arrival key; 0 = no end (receiver failed)
+    std::uint64_t endSeq;
+    std::uint32_t delayNs;  // propagation delay
+    std::uint32_t rxIndex;
+    std::uint32_t ordinal;  // position among the row's scheduled receptions
+    bool perCorrupted;
+  };
+
+  // A transmission's receptions, sorted into pop order: by begin time,
+  // ties by row ordinal. Ends pop in the same order (every reception of a
+  // flight lasts one airtime, and equal-time begins reserve their end seqs
+  // in begin order), so two cursors walk one array.
+  struct Flight {
+    std::vector<Reception> receptions;
+    PhyFramePtr frame;
+    net::NodeId transmitter{net::kInvalidNode};
+    SimTime start{SimTime::zero()};
+    SimTime airtime{SimTime::zero()};
+    std::uint64_t firstSeq{0};
+    std::uint32_t nextBegin{0};  // next reception to begin
+    std::uint32_t nextEnd{0};    // reception whose end is queued
+    bool endQueued{false};       // an end entry sits in the event heap
+  };
+
+  // Stages one reception of the transmission being fanned out (row order).
+  void stageReception(std::uint32_t rxIndex, double powerW,
+                      SimTime propagation, bool perCorrupted);
+  // Sorts the staged receptions into a pooled flight and queues its first
+  // begin.
+  void launchFlight(const PhyFramePtr& frame, net::NodeId transmitter,
+                    SimTime airtime);
+  // Event bodies: run the flight's next begin (end), then every following
+  // one the simulator lets run inline; re-queue or retire the flight.
+  void runBegins(Flight& flight);
+  void runEnds(Flight& flight);
+  void queueBegin(Flight& flight);
+  void queueEnd(Flight& flight);
+  void retire(Flight& flight);
+  SimTime beginTime(const Flight& flight, const Reception& r) const {
+    return flight.start + SimTime::nanoseconds(r.delayNs);
+  }
+
   sim::Simulator& simulator_;
   std::unique_ptr<LinkModel> linkModel_;
   Rng rng_;
@@ -290,6 +348,14 @@ class Channel {
   // Directed-pair loss overrides; overrideLinkLoss installs both
   // directions. Empty in fault-free runs (one .empty() test per tx).
   std::unordered_map<net::LinkKey, double, net::LinkKeyHash> linkLoss_;
+  // Flight pool: every flight ever needed (stable addresses — a queued
+  // entry holds one) and the idle ones. Staging buffers for the fan-out:
+  // receptions in row order and their packed (delay ns << 24 | ordinal)
+  // sort keys.
+  std::vector<std::unique_ptr<Flight>> flights_;
+  std::vector<Flight*> idleFlights_;
+  std::vector<Reception> staged_;
+  std::vector<std::uint64_t> stageKeys_;
   trace::TraceCollector* trace_{nullptr};
   const rate::RateTable* rateTable_{nullptr};
   bool reachabilityBuilt_{false};

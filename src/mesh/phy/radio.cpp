@@ -47,8 +47,7 @@ void Radio::setFailed(bool failed) {
 void Radio::injectNoise(double powerW, SimTime duration) {
   MESH_REQUIRE(powerW > 0.0 && duration > SimTime::zero());
   const std::uint64_t key = ++nextArrivalKey_;
-  arrivals_.push_back(Arrival{key, nullptr, net::kInvalidNode, powerW,
-                              simulator_.now() + duration});
+  arrivals_.push_back(Arrival{key, nullptr, net::kInvalidNode, powerW});
   inbandPowerW_ += powerW;
   ++stats_.noiseBursts;
   simulator_.schedule(duration, [this, key] { endArrival(key); });
@@ -132,22 +131,23 @@ void Radio::endTransmit() {
   notifyMediumIfChanged();
 }
 
-void Radio::beginArrival(const PhyFramePtr& frame, net::NodeId transmitter,
-                         double rxPowerW, SimTime airtime,
-                         bool perCorrupted) {
+Radio::EndTicket Radio::beginArrival(const PhyFramePtr& frame,
+                                     net::NodeId transmitter, double rxPowerW,
+                                     bool perCorrupted) {
   if (failed_) {
     // Powered off: the energy never enters the receive chain (and never
     // counts for carrier sense), so recovery starts from a clean radio.
     ++stats_.framesLostFailed;
     if (trace_ != nullptr) traceDrop(frame, trace::DropReason::FaultNodeDown);
-    return;
+    return {};
   }
   const std::uint64_t key = ++nextArrivalKey_;
-  arrivals_.push_back(Arrival{key, frame, transmitter, rxPowerW,
-                              simulator_.now() + airtime, perCorrupted});
+  arrivals_.push_back(Arrival{key, frame, transmitter, rxPowerW, perCorrupted});
   // Appending extends the left-fold sum by one term: still bit-exact.
   inbandPowerW_ += rxPowerW;
-  simulator_.schedule(airtime, [this, key] { endArrival(key); });
+  // The end's place in the event order is taken here, before the lock
+  // logic and the medium callback below can schedule anything.
+  const EndTicket ticket{key, simulator_.reserveOrder()};
 
   const bool decodable = rxPowerW >= params_.rxThresholdW;
   if (decodable && !isTransmitting() && !lockedActive_) {
@@ -169,6 +169,7 @@ void Radio::beginArrival(const PhyFramePtr& frame, net::NodeId transmitter,
     if (lockedActive_) reevaluateLockedSinr();
   }
   notifyMediumIfChanged();
+  return ticket;
 }
 
 void Radio::endArrival(std::uint64_t key) {

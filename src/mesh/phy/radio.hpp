@@ -132,14 +132,27 @@ class Radio {
   }
   std::size_t channelIndex() const { return channelIndex_; }
 
+  // What beginArrival hands back instead of scheduling the arrival's end
+  // (DESIGN §8.3): the arrival's key for endArrival, and the event seq the
+  // end takes — reserved at the point where the radio once scheduled it,
+  // so the channel can run the end exactly where that event would have
+  // popped. key 0: the radio took no arrival (it is failed); no end runs.
+  struct EndTicket {
+    std::uint64_t key{0};
+    std::uint64_t seq{0};
+  };
+
   // Called by the channel at the instant the first energy of a frame
-  // reaches this radio. The radio schedules the end of the arrival itself.
+  // reaches this radio. The channel owes the returned ticket one
+  // endArrival(ticket.key) call, one airtime later, at ticket.seq.
   // `perCorrupted` marks a frame the channel's per-rate error model already
   // killed: its energy behaves normally (carrier sense, interference, it
   // still locks the receiver) but the decode fails at the end.
-  void beginArrival(const PhyFramePtr& frame, net::NodeId transmitter,
-                    double rxPowerW, SimTime airtime,
-                    bool perCorrupted = false);
+  EndTicket beginArrival(const PhyFramePtr& frame, net::NodeId transmitter,
+                         double rxPowerW, bool perCorrupted = false);
+  // The last energy of arrival `key` leaves the radio: the locked frame
+  // (if it was this one) is decoded or dropped, carrier sense updates.
+  void endArrival(std::uint64_t key);
 
  private:
   // `frame` is null for injected noise bursts, which carry energy but can
@@ -149,11 +162,9 @@ class Radio {
     PhyFramePtr frame;
     net::NodeId transmitter;
     double rxPowerW;
-    SimTime end;
     bool perCorrupted{false};
   };
 
-  void endArrival(std::uint64_t key);
   void endTransmit();
   void traceDrop(const PhyFramePtr& frame, trace::DropReason reason);
 

@@ -10,6 +10,11 @@
 // across designs. 16-byte nodes put a full sibling group of four on one
 // cache line, which is what the sift loops are bound by.
 //
+// Seqs can also be reserved ahead of the push (reserveSeqs/pushReserved):
+// a batch producer takes the seqs its individual pushes would have had and
+// pushes one entry at a time, each popping exactly where its own push
+// would have (DESIGN §8.1).
+//
 // Callbacks are SmallCallbacks: captures of up to 48 bytes (every hot-path
 // capture in the simulator) live inline in the slot, so the steady-state
 // push/pop cycle performs zero heap allocations. Slots live in fixed-size
@@ -64,20 +69,49 @@ class EventQueue {
   // relocation of the capture).
   template <typename F>
   EventId push(SimTime time, F&& cb) {
+    return pushReserved(time, reserveSeqs(1), std::forward<F>(cb));
+  }
+
+  // Order reservation: hands out `n` consecutive seqs — exactly the ones
+  // the next n push() calls would have taken — and returns the first. An
+  // entry pushed later with pushReserved(time, seq) pops precisely where
+  // that individual push would have, so a producer can keep a whole batch
+  // of future events out of the heap and release them one at a time.
+  std::uint64_t reserveSeqs(std::uint64_t n) {
+    // The 40-bit seq wraps after 10¹² reservations — far beyond any run.
+    MESH_ASSERT(nextSeq_ + n < (std::uint64_t{1} << kSeqBits));
+    const std::uint64_t first = nextSeq_ + 1;
+    nextSeq_ += n;
+    return first;
+  }
+
+  // Push `cb` at (time, seq) for a seq taken from reserveSeqs(). Each
+  // reserved seq may be pushed at most once.
+  template <typename F>
+  EventId pushReserved(SimTime time, std::uint64_t seq, F&& cb) {
+    MESH_ASSERT(seq != 0 && seq <= nextSeq_);
     const std::uint32_t slotIndex = acquireSlot();
     Slot& slot = slotAt(slotIndex);
     slot.callback = std::forward<F>(cb);
     MESH_ASSERT(static_cast<bool>(slot.callback));
     slot.state = SlotState::Pending;
-    // The 24-bit slot field caps concurrently-pending events at 16.7M and
-    // the 40-bit seq wraps after 10¹² pushes — both far beyond any run.
-    MESH_ASSERT(nextSeq_ < (std::uint64_t{1} << kSeqBits) - 1);
-    heap_.push_back(
-        HeapNode{time, (++nextSeq_ << kSlotBits) | slotIndex});
+    // The 24-bit slot field caps concurrently-pending events at 16.7M.
+    heap_.push_back(HeapNode{time, (seq << kSlotBits) | slotIndex});
     siftUp(heap_.size() - 1);
     ++live_;
     return EventId{(static_cast<std::uint64_t>(slot.generation) << 32) |
                    (slotIndex + 1)};
+  }
+
+  // True when an entry at (time, seq) would pop before every pending
+  // event. The raw root bounds every node, tombstones included, so the
+  // common case is one compare; only a loss to the root discards
+  // cancelled heads and compares against the live one.
+  bool precedesAll(SimTime time, std::uint64_t seq) {
+    const HeapNode probe{time, seq << kSlotBits};
+    if (heap_.empty() || before(probe, heap_.front())) return true;
+    dropCancelledHead();
+    return heap_.empty() || before(probe, heap_.front());
   }
 
   // Cancel a pending event in O(1). Returns false if the handle is null,

@@ -46,6 +46,39 @@ class Simulator {
 
   bool cancel(EventId id) { return queue_.cancel(id); }
 
+  // --- reserved order (DESIGN §8.1) ---------------------------------------
+  //
+  // A producer of many future events (a transmission's receptions) can
+  // fix their pop order now and keep them out of the heap: reserveOrder(n)
+  // takes the n seqs that n schedule() calls would have taken, and each
+  // entry is later either pushed with scheduleReservedAt or run inline.
+
+  std::uint64_t reserveOrder(std::uint64_t n = 1) {
+    return queue_.reserveSeqs(n);
+  }
+
+  template <typename F>
+  EventId scheduleReservedAt(SimTime when, std::uint64_t seq, F&& cb) {
+    MESH_REQUIRE(when >= now_);
+    return queue_.pushReserved(when, seq, std::forward<F>(cb));
+  }
+
+  // Called from inside a running event: true when the entry at (time,
+  // seq) is exactly the event run() would execute next — the loop is
+  // running and not stopped, `time` is within the run's horizon, and the
+  // entry precedes every pending event. The clock then advances to `time`
+  // and the entry counts as executed; the caller runs it at once, without
+  // a heap round trip. False: the caller pushes it with scheduleReservedAt.
+  bool runInline(SimTime time, std::uint64_t seq) {
+    if (!running_ || time > until_ || !queue_.precedesAll(time, seq)) {
+      return false;
+    }
+    MESH_ASSERT(time >= now_);
+    now_ = time;
+    ++eventsExecuted_;
+    return true;
+  }
+
   // Bracketing hooks around every run(): `enter` fires before the first
   // event, `leave` after the loop exits (including stop()/horizon exits).
   // The harness uses this to install the owning Simulation's PacketPool as
@@ -59,19 +92,20 @@ class Simulator {
 
   // Run until the event set drains or the clock would pass `until`.
   // Events scheduled exactly at `until` still fire. Returns the number of
-  // events executed.
+  // events executed, inline entries (runInline) included.
   std::uint64_t run(SimTime until = SimTime::max()) {
     log::setTimeSource([this] { return now_; });
     if (runEnter_) runEnter_();
     running_ = true;
-    std::uint64_t executed = 0;
+    until_ = until;
+    const std::uint64_t executedBefore = eventsExecuted_;
     while (running_ && !queue_.empty()) {
       const bool ran = queue_.runEarliest(until, [this](SimTime time) {
         MESH_ASSERT(time >= now_);
         now_ = time;
+        ++eventsExecuted_;
       });
       if (!ran) break;  // earliest event is past the horizon
-      ++executed;
     }
     // If we stopped on the horizon, advance the clock to it so that a
     // subsequent run() resumes from a well-defined instant.
@@ -79,14 +113,15 @@ class Simulator {
     running_ = false;
     log::clearTimeSource();
     if (runLeave_) runLeave_();
-    eventsExecuted_ += executed;
-    return executed;
+    return eventsExecuted_ - executedBefore;
   }
 
   // Stop the run loop after the current event returns.
   void stop() { running_ = false; }
 
   bool hasPendingEvents() const { return !queue_.empty(); }
+  // Heap entries: a producer of reserved entries keeps only its next one
+  // queued, so its later entries are not counted until pushed.
   std::size_t pendingEventCount() const { return queue_.size(); }
   std::uint64_t eventsExecuted() const { return eventsExecuted_; }
 
@@ -94,6 +129,7 @@ class Simulator {
   EventQueue queue_;
   SimTime now_{SimTime::zero()};
   bool running_{false};
+  SimTime until_{SimTime::max()};  // horizon of the run() in progress
   std::uint64_t eventsExecuted_{0};
   std::function<void()> runEnter_;
   std::function<void()> runLeave_;

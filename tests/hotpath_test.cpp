@@ -148,8 +148,7 @@ TEST(HotPath, PopSequenceWithCancellationsKeepsContract) {
 TEST(HotPath, SteadyStatePushPopAllocatesNothing) {
   sim::EventQueue q;
   Rng rng{44};
-  // A 48-byte capture: the size of the channel's delivery lambda, the
-  // largest capture on the simulator's hot path.
+  // A 48-byte capture: the largest that SmallCallback keeps inline.
   struct Payload {
     std::array<unsigned char, 40> bytes;
     double* sink;
@@ -270,23 +269,30 @@ struct RoundTripRig {
   }
   ~RoundTripRig() { net::PacketPool::setCurrent(prevPool); }
 
-  void pump(int sends, SimTime gap) {
+  // Each round, nodes 0..senders-1 hand a packet to their MACs at the
+  // same instant. Idle MACs send after the same DIFS, so with several
+  // senders their frames share the air: overlapping flights, collisions.
+  void pump(int sends, SimTime gap, std::size_t senders = 1) {
     for (int i = 0; i < sends; ++i) {
-      odmrp::DataHeader h;
-      h.group = 1;
-      h.source = 0;
-      h.seq = ++seq;
-      auto p = net::Packet::build(
-          net::PacketKind::Data, 0, odmrp::kDataHeaderBytes + 512,
-          simulator.now(), 0, [&h](net::ByteWriter& w) {
-            h.writeTo(w);
-            w.zeros(512);
-          });
-      // Mostly broadcast (the multicast flood service); every fourth send
-      // is a unicast so ACK frames flow through the pooled path too.
-      const net::NodeId dst =
-          i % 4 == 3 ? net::NodeId{1} : net::kBroadcastNode;
-      macs[0]->send(std::move(p), dst);
+      for (std::size_t from = 0; from < senders; ++from) {
+        odmrp::DataHeader h;
+        h.group = 1;
+        h.source = static_cast<net::NodeId>(from);
+        h.seq = ++seq;
+        auto p = net::Packet::build(
+            net::PacketKind::Data, static_cast<net::NodeId>(from),
+            odmrp::kDataHeaderBytes + 512, simulator.now(), 0,
+            [&h](net::ByteWriter& w) {
+              h.writeTo(w);
+              w.zeros(512);
+            });
+        // Mostly broadcast (the multicast flood service); every fourth
+        // send is a unicast so ACK frames flow through the pooled path too.
+        const net::NodeId dst = i % 4 == 3
+                                    ? static_cast<net::NodeId>(senders)
+                                    : net::kBroadcastNode;
+        macs[from]->send(std::move(p), dst);
+      }
       simulator.run(simulator.now() + gap);  // drain + advance the clock
     }
   }
@@ -312,6 +318,24 @@ TEST(HotPath, SteadyStateRoundTripAllocatesNothingUnderMobility) {
   EXPECT_EQ(g_newCalls.load(), before)
       << "mobility refreshes must reuse reachability buffers";
   EXPECT_GT(rig.decoded, 0u);
+}
+
+TEST(HotPath, SteadyStateOverlappingTransmittersAllocateNothing) {
+  // Three senders per round: up to three flights share the air, so the
+  // flight pool, its reception arrays and the fan-out staging buffers
+  // must all reach their high-water marks during warm-up.
+  RoundTripRig rig{/*mobile=*/false};
+  rig.pump(64, 100_ms, 3);
+  const std::uint64_t before = g_newCalls.load();
+  rig.pump(64, 100_ms, 3);
+  EXPECT_EQ(g_newCalls.load(), before)
+      << "overlapping transmissions must reuse pooled flights";
+  EXPECT_GT(rig.decoded, 0u);
+  std::uint64_t collisions = 0;
+  for (const auto& radio : rig.radios) {
+    collisions += radio->stats().framesCorrupted;
+  }
+  EXPECT_GT(collisions, 0u) << "the three senders never overlapped";
 }
 
 // --------------------------------------------- determinism property test

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "mesh/sim/event_queue.hpp"
@@ -124,6 +126,85 @@ TEST(EventQueue, ClearEmpties) {
   q.clear();
   EXPECT_TRUE(q.empty());
   EXPECT_EQ(q.size(), 0u);
+}
+
+// ------------------------------------------------- reserved seqs (§8.1)
+
+// Pops and runs every event.
+void drain(EventQueue& q) {
+  while (!q.empty()) q.pop().callback();
+}
+
+TEST(EventQueueReserved, EqualTimeTiesPopInReservationOrder) {
+  // Reference: six individual pushes at one instant.
+  std::vector<int> want;
+  {
+    EventQueue q;
+    for (int i = 0; i < 6; ++i) q.push(5_s, [&want, i] { want.push_back(i); });
+    drain(q);
+  }
+  // One ordinary push, four reserved seqs pushed in reverse, one more
+  // ordinary push: the reserved entries pop in seq order, between the two.
+  std::vector<int> got;
+  EventQueue q;
+  q.push(5_s, [&got] { got.push_back(0); });
+  const std::uint64_t first = q.reserveSeqs(4);
+  q.push(5_s, [&got] { got.push_back(5); });
+  for (int i = 3; i >= 0; --i) {
+    q.pushReserved(5_s, first + static_cast<std::uint64_t>(i),
+                   [&got, i] { got.push_back(i + 1); });
+  }
+  drain(q);
+  EXPECT_EQ(got, want);
+}
+
+TEST(EventQueueReserved, InterleavesWithOrdinaryEventsAsIndividualPushes) {
+  const std::array<SimTime, 3> batch{3_s, 5_s, 3_s};
+  std::vector<int> want;
+  {
+    EventQueue q;
+    q.push(5_s, [&want] { want.push_back(10); });
+    for (int i = 0; i < 3; ++i) {
+      q.push(batch[static_cast<std::size_t>(i)],
+             [&want, i] { want.push_back(i); });
+    }
+    q.push(3_s, [&want] { want.push_back(11); });
+    q.push(4_s, [&want] { want.push_back(12); });
+    drain(q);
+  }
+  std::vector<int> got;
+  EventQueue q;
+  q.push(5_s, [&got] { got.push_back(10); });
+  const std::uint64_t first = q.reserveSeqs(3);
+  q.push(3_s, [&got] { got.push_back(11); });
+  // Released late and out of order, around a later ordinary push.
+  q.pushReserved(batch[2], first + 2, [&got] { got.push_back(2); });
+  q.push(4_s, [&got] { got.push_back(12); });
+  q.pushReserved(batch[0], first, [&got] { got.push_back(0); });
+  q.pushReserved(batch[1], first + 1, [&got] { got.push_back(1); });
+  drain(q);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(want, (std::vector<int>{0, 2, 11, 12, 10, 1}));
+}
+
+TEST(EventQueueReserved, PrecedesAllLooksPastACancelledHead) {
+  EventQueue q;
+  const EventId head = q.push(1_s, [] {});
+  q.push(5_s, [] {});
+  const std::uint64_t seq = q.reserveSeqs(1);
+  EXPECT_FALSE(q.precedesAll(3_s, seq));  // the live root is still 1 s
+  EXPECT_TRUE(q.cancel(head));
+  // The tombstone at the root no longer counts...
+  EXPECT_TRUE(q.precedesAll(3_s, seq));
+  // ...but the live 5 s event does, and it took the smaller seq.
+  EXPECT_FALSE(q.precedesAll(5_s, seq));
+  EXPECT_FALSE(q.precedesAll(6_s, seq));
+  EXPECT_EQ(q.size(), 1u);
+  std::vector<SimTime> popped;
+  q.pushReserved(3_s, seq, [] {});
+  while (!q.empty()) popped.push_back(q.pop().time);
+  EXPECT_EQ(popped, (std::vector<SimTime>{3_s, 5_s}));
+  EXPECT_TRUE(q.precedesAll(0_s, q.reserveSeqs(1)));  // empty queue
 }
 
 // ---------------------------------------------------------- SmallCallback
@@ -289,6 +370,172 @@ TEST(Simulator, DeterministicInterleaving) {
     return order;
   };
   EXPECT_EQ(trace(), trace());
+}
+
+// ------------------------------------------------------ runInline (§8.1)
+
+// A batch of future entries released the way a channel flight releases its
+// receptions: seqs reserved up front, the head pushed, every later entry
+// run inline when the simulator allows it and pushed otherwise.
+struct ReservedChain {
+  Simulator& s;
+  std::vector<SimTime> times;  // nondecreasing
+  std::function<void(std::size_t)> body;
+  std::uint64_t first{0};
+  std::size_t next{0};
+  std::size_t inlined{0};
+
+  void start() {
+    first = s.reserveOrder(times.size());
+    queue();
+  }
+  void queue() {
+    s.scheduleReservedAt(times[next], first + next, [this] { run(); });
+  }
+  void run() {
+    for (;;) {
+      body(next++);
+      if (next == times.size()) return;
+      if (!s.runInline(times[next], first + next)) {
+        queue();
+        return;
+      }
+      ++inlined;
+    }
+  }
+};
+
+// The same entries as individual schedules, each at its own seq.
+void scheduleIndividually(Simulator& s, const std::vector<SimTime>& times,
+                          const std::function<void(std::size_t)>& body) {
+  for (std::size_t i = 0; i < times.size(); ++i) {
+    s.scheduleAt(times[i], [body, i] { body(i); });
+  }
+}
+
+struct ChainWorld {
+  Simulator s;
+  std::vector<std::string> log;
+  void note(const std::string& what) {
+    log.push_back(what + "@" + std::to_string(s.now().ns()));
+  }
+};
+
+// Entry bodies that interleave with the rest of the world: entry 2 adds a
+// zero-delay event at its own instant and entry 4 one later on.
+std::function<void(std::size_t)> chainBody(ChainWorld& w) {
+  return [&w](std::size_t i) {
+    w.note("e" + std::to_string(i));
+    if (i == 2) w.s.schedule(SimTime::zero(), [&w] { w.note("z"); });
+    if (i == 4) w.s.schedule(1_s, [&w] { w.note("late"); });
+  };
+}
+
+const std::vector<SimTime> kChainTimes{1_s, 1_s, 2_s, 2_s, 2_s, 3_s, 5_s};
+
+void seedNeighbours(ChainWorld& w) {
+  w.s.schedule(2_s, [&w] { w.note("a"); });
+}
+
+TEST(SimulatorRunInline, ChainPopsExactlyAsIndividualEvents) {
+  for (const SimTime horizon : {SimTime::max(), 2_s, 3_s}) {
+    ChainWorld ref;
+    seedNeighbours(ref);
+    scheduleIndividually(ref.s, kChainTimes, chainBody(ref));
+    ref.s.schedule(2_s, [&ref] { ref.note("b"); });
+    const std::uint64_t refFirst = ref.s.run(horizon);
+    const SimTime refStop = ref.s.now();
+    const std::uint64_t refRest = ref.s.run();
+
+    ChainWorld got;
+    seedNeighbours(got);
+    ReservedChain chain{got.s, kChainTimes, chainBody(got)};
+    chain.start();
+    got.s.schedule(2_s, [&got] { got.note("b"); });
+    const std::uint64_t gotFirst = got.s.run(horizon);
+    EXPECT_EQ(got.s.now(), refStop);
+    const std::uint64_t gotRest = got.s.run();
+
+    EXPECT_EQ(got.log, ref.log) << horizon.ns();
+    EXPECT_EQ(gotFirst, refFirst) << horizon.ns();
+    EXPECT_EQ(gotRest, refRest) << horizon.ns();
+    EXPECT_EQ(got.s.eventsExecuted(), ref.s.eventsExecuted());
+    EXPECT_GT(chain.inlined, 0u);
+  }
+}
+
+TEST(SimulatorRunInline, RefusesPastTheHorizonAndResumesIdentically) {
+  Simulator s;
+  std::vector<SimTime> seen;
+  ReservedChain chain{s, {1_s, 2_s, 3_s},
+                      [&](std::size_t) { seen.push_back(s.now()); }};
+  chain.start();
+  EXPECT_EQ(s.run(2_s), 2u);  // 1 s popped, 2 s inline, 3 s refused
+  EXPECT_EQ(chain.inlined, 1u);
+  EXPECT_EQ(s.now(), 2_s);
+  EXPECT_TRUE(s.hasPendingEvents());  // the refused entry was pushed
+  EXPECT_EQ(s.run(), 1u);
+  EXPECT_EQ(seen, (std::vector<SimTime>{1_s, 2_s, 3_s}));
+  EXPECT_EQ(s.eventsExecuted(), 3u);
+}
+
+TEST(SimulatorRunInline, RefusesAfterStopAndResumesIdentically) {
+  const auto runWorld = [](bool chained) {
+    ChainWorld w;
+    const auto body = [&w](std::size_t i) {
+      w.note("e" + std::to_string(i));
+      if (i == 1) w.s.stop();
+    };
+    ReservedChain chain{w.s, {1_s, 1_s, 1_s, 2_s}, body};
+    if (chained) {
+      chain.start();
+    } else {
+      scheduleIndividually(w.s, chain.times, body);
+    }
+    const std::uint64_t first = w.s.run();
+    w.note("stopped");
+    const std::uint64_t rest = w.s.run();
+    return std::make_pair(w.log, std::make_pair(first, rest));
+  };
+  const auto ref = runWorld(false);
+  const auto got = runWorld(true);
+  EXPECT_EQ(got, ref);
+  EXPECT_EQ(ref.second.first, 2u);  // the stop lands after entry 1
+}
+
+TEST(SimulatorRunInline, RefusesOutsideRunAndBehindEarlierEvents) {
+  Simulator s;
+  const std::uint64_t seq = s.reserveOrder();
+  EXPECT_FALSE(s.runInline(1_s, seq));  // not running
+  bool checked = false;
+  s.schedule(1_s, [&] {
+    // A pending 2 s event precedes a 3 s entry; a 1.5 s entry goes first.
+    EXPECT_FALSE(s.runInline(3_s, seq));
+    EXPECT_EQ(s.now(), 1_s);  // a refusal leaves the clock alone
+    EXPECT_TRUE(s.runInline(SimTime::milliseconds(1500), seq));
+    EXPECT_EQ(s.now(), SimTime::milliseconds(1500));
+    checked = true;
+  });
+  s.schedule(2_s, [] {});
+  EXPECT_EQ(s.run(), 3u);  // two popped events and the inline entry
+  EXPECT_TRUE(checked);
+  EXPECT_EQ(s.eventsExecuted(), 3u);
+}
+
+TEST(SimulatorRunInline, EveryInlineEntryCountsAsExecuted) {
+  Simulator s;
+  std::vector<std::size_t> pendingSeen;
+  ReservedChain chain{s, {1_s, 2_s, 3_s, 4_s, 5_s},
+                      [&](std::size_t) {
+                        pendingSeen.push_back(s.pendingEventCount());
+                      }};
+  chain.start();
+  EXPECT_EQ(s.pendingEventCount(), 1u);  // one heap entry for five events
+  EXPECT_EQ(s.run(), 5u);
+  EXPECT_EQ(chain.inlined, 4u);
+  EXPECT_EQ(s.eventsExecuted(), 5u);
+  EXPECT_EQ(pendingSeen, (std::vector<std::size_t>(5, 0)));
+  EXPECT_EQ(s.now(), 5_s);
 }
 
 // ------------------------------------------------------------------ Timer
